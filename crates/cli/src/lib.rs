@@ -37,7 +37,7 @@ impl std::fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
-/// Option names that take a value; everything else `--x` is a flag.
+/// Option names that take a value (`--name value` or `--name=value`).
 const VALUED: &[&str] = &[
     "np",
     "engine",
@@ -61,6 +61,19 @@ const VALUED: &[&str] = &[
     "serve-batch",
 ];
 
+/// Boolean flags. A `--name` in neither list is a usage error, so a
+/// mistyped heuristic cannot silently run base mode.
+const FLAGS: &[&str] = &[
+    "universal",
+    "batch-reads",
+    "read-tables",
+    "cache-remote",
+    "aggregate",
+    "no-load-balance",
+    "steal",
+    "report",
+];
+
 impl ArgParser {
     /// Parse raw arguments (without the program name).
     pub fn parse(args: &[String]) -> Result<ArgParser, UsageError> {
@@ -69,16 +82,28 @@ impl ArgParser {
         let mut it = args.iter().peekable();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
-                if let Some((k, v)) = name.split_once('=') {
-                    options.push((k.to_string(), Some(v.to_string())));
-                } else if VALUED.contains(&name) {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| UsageError(format!("--{name} requires a value")))?;
-                    options.push((name.to_string(), Some(v.clone())));
+                let (name, inline) = match name.split_once('=') {
+                    Some((k, v)) => (k, Some(v.to_string())),
+                    None => (name, None),
+                };
+                let value = if VALUED.contains(&name) {
+                    match inline {
+                        Some(v) => Some(v),
+                        None => Some(
+                            it.next()
+                                .ok_or_else(|| UsageError(format!("--{name} requires a value")))?
+                                .clone(),
+                        ),
+                    }
+                } else if FLAGS.contains(&name) {
+                    if inline.is_some() {
+                        return Err(UsageError(format!("--{name} takes no value")));
+                    }
+                    None
                 } else {
-                    options.push((name.to_string(), None));
-                }
+                    return Err(UsageError(format!("unknown option --{name}")));
+                };
+                options.push((name.to_string(), value));
             } else {
                 positionals.push(a.clone());
             }
@@ -308,6 +333,17 @@ mod tests {
         let err =
             ArgParser::parse(&["--np".to_string()]).err().expect("np without value must fail");
         assert!(err.0.contains("--np"));
+    }
+
+    #[test]
+    fn unknown_options_are_errors() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        // a mistyped heuristic must not silently run base mode
+        let err = ArgParser::parse(&args(&["run.config", "--agregate"])).err().expect("typo");
+        assert!(err.0.contains("--agregate"), "{err}");
+        assert!(ArgParser::parse(&args(&["--no-such=3"])).is_err());
+        assert!(ArgParser::parse(&args(&["--report=yes"])).is_err(), "flags take no value");
+        assert!(ArgParser::parse(&args(&["c", "--aggregate", "--np=4", "--report"])).is_ok());
     }
 
     #[test]

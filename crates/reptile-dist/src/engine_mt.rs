@@ -40,10 +40,11 @@ use crate::protocol::{
     TAG_RESP, TAG_STEAL_ACK, TAG_STEAL_REQ, TAG_STEAL_RESP, TAG_TILE_REQ, TAG_UNIVERSAL,
 };
 use crate::report::{LookupStats, RankReport, RunReport};
+use crate::route::{route, KeyKind, Route};
 use crate::snapshot;
 use crate::spectrum::{
-    build_distributed, build_distributed_spillable, derive_heuristic_tables, replicate_hot_shards,
-    scan_nonowned_keys, BuildStats, RankTables,
+    build_distributed_spillable, derive_heuristic_tables, replicate_hot_shards, scan_nonowned_keys,
+    BuildStats, RankTables,
 };
 use dnaseq::{FxHashMap, Read};
 use mpisim::message::WireWriter;
@@ -193,10 +194,11 @@ pub fn try_run_distributed_files(
 
 /// The per-rank pipeline, reusable by the file-backed front end.
 ///
-/// Fails only through the snapshot paths; a failure on any rank is
-/// collectively agreed inside [`snapshot::load_snapshot`] /
-/// [`snapshot::save_snapshot`], so every rank returns `Err` together and
-/// no rank is left stranded in a later collective.
+/// Fails only through the snapshot and spill paths; a failure on any
+/// rank is collectively agreed inside [`snapshot::load_snapshot`] /
+/// [`snapshot::save_snapshot`] and the spillable build, so every rank
+/// returns `Err` together and no rank is left stranded in a later
+/// collective.
 pub(crate) fn run_rank(
     comm: &Comm,
     initial_reads: Vec<Read>,
@@ -225,88 +227,8 @@ pub(crate) fn run_rank(
         initial_reads
     };
 
-    // --- Steps II–III: distributed spectrum construction, or a snapshot
-    // load that skips them entirely ---
-    let (mut tables, mut build_stats, snapshot_load_secs, snapshot_bytes_read, repair) =
-        if let Some(dir) = &cfg.load_spectrum {
-            if let Some(t) = trace.as_mut() {
-                t.phase_start("snapshot-load");
-            }
-            let t_load = Instant::now();
-            let chop = cfg.fault.snapshot_chop_for(me);
-            let loaded = snapshot::load_snapshot(comm, dir, &cfg.params, cfg.recovery, chop)?;
-            // The owned tables came off disk already pruned; only the
-            // heuristic-derived side tables remain to be built. The
-            // reads-table *key sets* were never persisted (their counts
-            // are global in the loaded tables), so rescan for them when
-            // keep_read_tables asks.
-            let owners = OwnerMap::new(comm.size(), &cfg.params);
-            let (kmer_keys, tile_keys) = if cfg.heuristics.keep_read_tables {
-                scan_nonowned_keys(&my_reads, &cfg.params, &owners, me)
-            } else {
-                (Vec::new(), Vec::new())
-            };
-            let (tables, stats) = derive_heuristic_tables(
-                comm,
-                owners,
-                &cfg.params,
-                &cfg.heuristics,
-                loaded.kmers,
-                loaded.tiles,
-                kmer_keys,
-                tile_keys,
-                BuildStats::default(),
-            );
-            if let Some(t) = trace.as_mut() {
-                t.phase_end("snapshot-load");
-            }
-            (tables, stats, t_load.elapsed().as_secs_f64(), loaded.bytes_read, loaded.repair)
-        } else if let Some(budget) = cfg.memory_budget {
-            // Out-of-core build: run files live in a per-rank temp dir
-            // for the duration of the build. The `chop=` fault plan
-            // composes with the spill plane here — with no snapshot in
-            // play, the chopped file is this rank's first k-mer run.
-            let dir = ooc_spill_dir(me);
-            std::fs::create_dir_all(&dir)
-                .map_err(|source| specstore::SpillError::Io { path: dir.clone(), source })?;
-            let chop = cfg.fault.snapshot_chop_for(me);
-            let mut ooc = OocBuild::new(budget, dir.clone(), me, chop, &cfg.params);
-            let built = build_distributed_spillable(
-                comm,
-                &my_reads,
-                cfg.chunk_size,
-                &cfg.params,
-                &cfg.heuristics,
-                cfg.build_threads.max(1),
-                Some(&mut ooc),
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-            let (tables, stats) = built?;
-            (tables, stats, 0.0, 0, Default::default())
-        } else {
-            let (tables, stats) = build_distributed(
-                comm,
-                &my_reads,
-                cfg.chunk_size,
-                &cfg.params,
-                &cfg.heuristics,
-                cfg.build_threads.max(1),
-            );
-            (tables, stats, 0.0, 0, Default::default())
-        };
-
-    // --- adaptive balancing: detect skew and replicate the hot shards ---
-    if cfg.heuristics.hot_shard_k > 0 && comm.size() > 1 {
-        let hist = owner_volume_histogram(&my_reads, &cfg.params, &tables.owners);
-        let global = sum_histograms(&comm.allgatherv(hist));
-        let hot = select_hot_owners(&global, cfg.heuristics.hot_shard_k);
-        // `hot` comes out of the same global histogram on every rank, so
-        // this branch (and its collectives) is collectively uniform.
-        if hot.iter().any(|&h| h) {
-            replicate_hot_shards(comm, &cfg.params, &mut tables, &hot, &mut build_stats);
-        }
-    }
-    comm.barrier();
+    let TablesPhase { tables, build, snapshot_load_secs, snapshot_bytes_read, repair } =
+        tables_phase(comm, &my_reads, cfg, trace.as_mut())?;
     let construct_secs = t0.elapsed().as_secs_f64();
 
     // --- snapshot save: persist the pruned owned spectra for later runs ---
@@ -333,41 +255,16 @@ pub(crate) fn run_rank(
 
     // --- Step IV: correction with a communication thread ---
     let t1 = Instant::now();
-    // Exact bytes of every resident spectrum table, measured before the
-    // tables are moved into the access chain (cache_remote can grow the
-    // reads tables during correction; construction-time footprint is what
-    // Fig 5 compares).
+    // Exact bytes of every resident spectrum table, measured before
+    // Step IV (cache_remote can grow the reads tables during correction;
+    // construction-time footprint is what Fig 5 compares).
     let spectrum_bytes = tables.memory_bytes();
-    let RankTables {
-        owners,
-        hash_kmers,
-        hash_tiles,
-        reads_kmers,
-        reads_tiles,
-        replicated_kmers,
-        replicated_tiles,
-        group_kmers,
-        group_tiles,
-        hot_kmers,
-        hot_tiles,
-        hot_owners,
-    } = tables;
-    let mut corrected = my_reads;
-    let mut correction = CorrectionStats::default();
-    let mut lookups = LookupStats::default();
-    let mut comm_secs = 0.0;
-    let mut served = ServedCounts::default();
-    let shutdown = AtomicBool::new(false);
-    // Fully replicated (or whole-universe partial-group) runs never touch
-    // the p2p service plane; skip the comm thread entirely.
-    let service_plane = cfg.heuristics.needs_service_plane(comm.size());
-    // --- chunk stealing setup: share the work queue with the comm
-    // thread, and allgather initial loads so thieves target the most
-    // loaded victims first ---
+    // --- chunk stealing setup: allgather initial loads so thieves target
+    // the most loaded victims first ---
     let chunk_unit = cfg.chunk_size.max(1);
     let want_steal = cfg.heuristics.steal_chunks && comm.size() > 1;
     let loads: Vec<u64> = if want_steal {
-        let mine = corrected.len().div_ceil(chunk_unit) as u64;
+        let mine = my_reads.len().div_ceil(chunk_unit) as u64;
         comm.allgatherv(vec![mine]).into_iter().map(|v| v[0]).collect()
     } else {
         Vec::new()
@@ -376,128 +273,29 @@ pub(crate) fn run_rank(
     // collectively uniform: either all ranks run the steal protocol or
     // none do. A balanced shuffle runs exactly the static path.
     let steal_mode = want_steal && crate::balance::steal_worth_it(&loads);
-    let steal_state =
-        steal_mode.then(|| Mutex::new(StealState::new(std::mem::take(&mut corrected), chunk_unit)));
-    std::thread::scope(|s| {
-        let server = service_plane.then(|| {
-            s.spawn(|| {
-                comm_thread(
-                    comm,
-                    &hash_kmers,
-                    &hash_tiles,
-                    cfg.heuristics.universal,
-                    steal_state.as_ref(),
-                    &shutdown,
-                )
-            })
-        });
-        let mut access = DistAccess {
-            comm,
-            me,
-            owners: &owners,
-            hash_kmers: &hash_kmers,
-            hash_tiles: &hash_tiles,
-            reads_kmers,
-            reads_tiles,
-            replicated_kmers: &replicated_kmers,
-            replicated_tiles: &replicated_tiles,
-            group_kmers: &group_kmers,
-            group_tiles: &group_tiles,
-            hot_kmers: &hot_kmers,
-            hot_tiles: &hot_tiles,
-            hot_owners: &hot_owners,
-            heur: cfg.heuristics,
-            lookup_deadline: cfg.lookup_deadline,
-            retry_budget: cfg.retry_budget,
-            next_seq: 1,
-            batch_stash: FxHashMap::default(),
-            prefetch_kmers: FxHashMap::default(),
-            prefetch_tiles: FxHashMap::default(),
-            scratch: WireWriter::with_capacity(64),
-            stats: LookupStats::default(),
-            comm_secs: 0.0,
-        };
-        if let Some(state) = &steal_state {
-            let mut correct_chunk = |access: &mut DistAccess, chunk: &mut [Read]| {
-                if cfg.heuristics.aggregate_lookups {
-                    access.prefetch(chunk, &cfg.params);
-                }
-                for read in chunk.iter_mut() {
-                    let outcome = correct_read(read, access, &cfg.params);
-                    correction.absorb(&outcome);
-                }
-            };
-            // own queue first: pop chunks off the front while the comm
-            // thread hands the back out to thieves. Never hold the lock
-            // while correcting — the comm thread must stay responsive.
-            loop {
-                let chunk = state.lock().expect("steal lock").pop_front();
-                let Some(mut chunk) = chunk else { break };
-                correct_chunk(&mut access, &mut chunk);
-                corrected.extend(chunk);
-            }
-            // At-least-once under faults: a handed-out chunk whose ACK
-            // never arrived may have been lost in flight — re-adopt and
-            // correct it here. If the thief did receive it, both copies
-            // are identical and the id-ordered merge dedups them.
-            if !cfg.fault.is_none() {
-                let adopted: Vec<Vec<Read>> = {
-                    let mut st = state.lock().expect("steal lock");
-                    st.handed_out.drain(..).map(|(_, _, c)| c).collect()
-                };
-                for mut chunk in adopted {
-                    correct_chunk(&mut access, &mut chunk);
-                    corrected.extend(chunk);
-                }
-            }
-            // thief phase: sweep the other ranks, most-loaded first;
-            // each victim's queue only shrinks, so one sweep that drains
-            // every victim to "nothing left" is complete.
-            let mut victims: Vec<usize> =
-                (0..comm.size()).filter(|&r| r != me && loads[r] > 0).collect();
-            victims.sort_by_key(|&r| (std::cmp::Reverse(loads[r]), r));
-            for victim in victims {
-                while let Some(mut chunk) = access.steal_from(victim) {
-                    access.stats.chunks_stolen += 1;
-                    correct_chunk(&mut access, &mut chunk);
-                    corrected.extend(chunk);
-                }
-            }
-        } else if cfg.heuristics.aggregate_lookups {
-            // aggregate mode: one batched prefetch round per chunk, then
-            // correct the chunk against the filled cache
+    let mut correction = CorrectionStats::default();
+    let (corrected, lookups, comm_secs) = if steal_mode {
+        // the work queue is shared with the comm thread, which hands
+        // chunks off its back to thieves
+        let state = Mutex::new(StealState::new(my_reads, chunk_unit));
+        step_iv(comm, tables, cfg, Some(&state), |access| {
+            correct_stealing(access, &state, &loads, cfg, &mut correction)
+        })
+    } else {
+        let mut corrected = my_reads;
+        step_iv(comm, tables, cfg, None, |access| {
             for chunk in corrected.chunks_mut(chunk_unit) {
-                access.prefetch(chunk, &cfg.params);
-                for read in chunk.iter_mut() {
-                    let outcome = correct_read(read, &mut access, &cfg.params);
-                    correction.absorb(&outcome);
-                }
+                access.correct_chunk(chunk, &cfg.params, &mut correction, |_| {});
             }
-        } else {
-            for read in corrected.iter_mut() {
-                let outcome = correct_read(read, &mut access, &cfg.params);
-                correction.absorb(&outcome);
-            }
-        }
-        // Once every worker has passed this barrier no rank can issue a
-        // new first-hand request; anything still in a mailbox (delayed
-        // duplicates) is drained by the servers before they exit.
-        comm.barrier();
-        shutdown.store(true, Ordering::Release);
-        lookups = access.stats;
-        comm_secs = access.comm_secs;
-        if let Some(server) = server {
-            served = server.join().expect("comm thread panicked");
-        }
-    });
-    lookups.requests_served = served.keys;
-    lookups.batches_served = served.batches;
+            corrected
+        })
+    };
     let correct_secs = t1.elapsed().as_secs_f64();
 
     let report = RankReport {
         rank: me,
         reads_processed: corrected.len() as u64,
-        build: build_stats,
+        build,
         correction,
         lookups,
         construct_secs,
@@ -512,6 +310,236 @@ pub(crate) fn run_rank(
         trace,
     };
     Ok((corrected, report))
+}
+
+/// What a rank holds when Step IV starts, and what getting there cost.
+pub(crate) struct TablesPhase {
+    pub(crate) tables: RankTables,
+    pub(crate) build: BuildStats,
+    pub(crate) snapshot_load_secs: f64,
+    pub(crate) snapshot_bytes_read: u64,
+    pub(crate) repair: specstore::RepairStats,
+}
+
+/// The tables phase of a threaded rank, shared by batch runs and the
+/// serve plane. Either load a snapshot and derive the heuristic side
+/// tables from it, or run Steps II–III over `reads` (out of core under a
+/// memory budget). Then replicate the hot shards when skew detection
+/// trips. Ends at a barrier, so every rank holds its tables on return.
+pub(crate) fn tables_phase(
+    comm: &Comm,
+    reads: &[Read],
+    cfg: &EngineConfig,
+    mut trace: Option<&mut TraceLog>,
+) -> Result<TablesPhase, EngineError> {
+    let me = comm.rank();
+    let mut phase = if let Some(dir) = &cfg.load_spectrum {
+        if let Some(t) = trace.as_mut() {
+            t.phase_start("snapshot-load");
+        }
+        let t_load = Instant::now();
+        let chop = cfg.fault.snapshot_chop_for(me);
+        let loaded = snapshot::load_snapshot(comm, dir, &cfg.params, cfg.recovery, chop)?;
+        // The owned tables came off disk already pruned; only the
+        // heuristic-derived side tables remain to be built. The
+        // reads-table *key sets* were never persisted (their counts are
+        // global in the loaded tables), so rescan for them when
+        // keep_read_tables asks.
+        let owners = OwnerMap::new(comm.size(), &cfg.params);
+        let (kmer_keys, tile_keys) = if cfg.heuristics.keep_read_tables {
+            scan_nonowned_keys(reads, &cfg.params, &owners, me)
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let (tables, build) = derive_heuristic_tables(
+            comm,
+            owners,
+            &cfg.params,
+            &cfg.heuristics,
+            loaded.kmers,
+            loaded.tiles,
+            kmer_keys,
+            tile_keys,
+            BuildStats::default(),
+        );
+        if let Some(t) = trace.as_mut() {
+            t.phase_end("snapshot-load");
+        }
+        TablesPhase {
+            tables,
+            build,
+            snapshot_load_secs: t_load.elapsed().as_secs_f64(),
+            snapshot_bytes_read: loaded.bytes_read,
+            repair: loaded.repair,
+        }
+    } else {
+        // Out-of-core build: run files live in a per-rank temp dir for
+        // the duration of the build. The `chop=` fault plan composes
+        // with the spill plane here — with no snapshot in play, the
+        // chopped file is this rank's first k-mer run.
+        let spill_dir = cfg.memory_budget.map(|_| ooc_spill_dir(me));
+        let mut ooc = match (cfg.memory_budget, &spill_dir) {
+            (Some(budget), Some(dir)) => {
+                std::fs::create_dir_all(dir)
+                    .map_err(|source| specstore::SpillError::Io { path: dir.clone(), source })?;
+                let chop = cfg.fault.snapshot_chop_for(me);
+                Some(OocBuild::new(budget, dir.clone(), me, chop, &cfg.params))
+            }
+            _ => None,
+        };
+        let built = build_distributed_spillable(
+            comm,
+            reads,
+            cfg.chunk_size,
+            &cfg.params,
+            &cfg.heuristics,
+            cfg.build_threads.max(1),
+            ooc.as_mut(),
+        );
+        if let Some(dir) = &spill_dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        let (tables, build) = built?;
+        TablesPhase {
+            tables,
+            build,
+            snapshot_load_secs: 0.0,
+            snapshot_bytes_read: 0,
+            repair: Default::default(),
+        }
+    };
+
+    // --- adaptive balancing: detect skew and replicate the hot shards ---
+    if cfg.heuristics.hot_shard_k > 0 && comm.size() > 1 {
+        let hist = owner_volume_histogram(reads, &cfg.params, &phase.tables.owners);
+        let global = sum_histograms(&comm.allgatherv(hist));
+        let hot = select_hot_owners(&global, cfg.heuristics.hot_shard_k);
+        // `hot` comes out of the same global histogram on every rank, so
+        // this branch (and its collectives) is collectively uniform.
+        if hot.iter().any(|&h| h) {
+            replicate_hot_shards(comm, &cfg.params, &mut phase.tables, &hot, &mut phase.build);
+        }
+    }
+    comm.barrier();
+    Ok(phase)
+}
+
+/// Step IV's thread structure, shared by batch runs and the serve
+/// plane: run `worker` against this rank's lookup chain while a comm
+/// thread answers the owner lookups (and steal requests) aimed at this
+/// rank. Runs that never touch the p2p service plane (full replication,
+/// a partial group spanning every rank, one rank) skip the comm thread.
+///
+/// Returns the worker's result, its lookup counters (with the comm
+/// thread's serve counts filled in) and its seconds spent waiting on
+/// lookups.
+pub(crate) fn step_iv<R>(
+    comm: &Comm,
+    mut tables: RankTables,
+    cfg: &EngineConfig,
+    steal: Option<&Mutex<StealState>>,
+    worker: impl FnOnce(&mut DistAccess<'_>) -> R,
+) -> (R, LookupStats, f64) {
+    // the worker owns the reads tables: cache_remote grows them
+    let reads_kmers = tables.reads_kmers.take();
+    let reads_tiles = tables.reads_tiles.take();
+    let tables = &tables;
+    let shutdown = AtomicBool::new(false);
+    let service_plane = cfg.heuristics.needs_service_plane(comm.size());
+    std::thread::scope(|s| {
+        let server = service_plane.then(|| {
+            s.spawn(|| {
+                comm_thread(
+                    comm,
+                    &tables.hash_kmers,
+                    &tables.hash_tiles,
+                    cfg.heuristics.universal,
+                    steal,
+                    &shutdown,
+                )
+            })
+        });
+        let mut access = DistAccess {
+            comm,
+            me: comm.rank(),
+            tables,
+            reads_kmers,
+            reads_tiles,
+            heur: cfg.heuristics,
+            lookup_deadline: cfg.lookup_deadline,
+            retry_budget: cfg.retry_budget,
+            next_seq: 1,
+            batch_stash: FxHashMap::default(),
+            prefetch_kmers: FxHashMap::default(),
+            prefetch_tiles: FxHashMap::default(),
+            scratch: WireWriter::with_capacity(64),
+            stats: LookupStats::default(),
+            comm_secs: 0.0,
+        };
+        let out = worker(&mut access);
+        // Once every worker has passed this barrier no rank can issue a
+        // new first-hand request; anything still in a mailbox (delayed
+        // duplicates) is drained by the servers before they exit.
+        comm.barrier();
+        shutdown.store(true, Ordering::Release);
+        let mut lookups = access.stats;
+        if let Some(server) = server {
+            let served = server.join().expect("comm thread panicked");
+            lookups.requests_served = served.keys;
+            lookups.batches_served = served.batches;
+        }
+        (out, lookups, access.comm_secs)
+    })
+}
+
+/// The chunk-stealing worker: correct the rank's own queue from the
+/// front while the comm thread hands the back out to thieves, then turn
+/// thief. Returns every read this rank corrected.
+fn correct_stealing(
+    access: &mut DistAccess<'_>,
+    state: &Mutex<StealState>,
+    loads: &[u64],
+    cfg: &EngineConfig,
+    correction: &mut CorrectionStats,
+) -> Vec<Read> {
+    let mut corrected = Vec::new();
+    let mut correct = |access: &mut DistAccess<'_>, mut chunk: Vec<Read>| {
+        access.correct_chunk(&mut chunk, &cfg.params, correction, |_| {});
+        corrected.extend(chunk);
+    };
+    // own queue first. Never hold the lock while correcting — the comm
+    // thread must stay responsive.
+    loop {
+        let chunk = state.lock().expect("steal lock").pop_front();
+        let Some(chunk) = chunk else { break };
+        correct(access, chunk);
+    }
+    // At-least-once under faults: a handed-out chunk whose ACK never
+    // arrived may have been lost in flight — re-adopt and correct it
+    // here. If the thief did receive it, both copies are identical and
+    // the id-ordered merge dedups them.
+    if !cfg.fault.is_none() {
+        let adopted: Vec<Vec<Read>> = {
+            let mut st = state.lock().expect("steal lock");
+            st.handed_out.drain(..).map(|(_, _, c)| c).collect()
+        };
+        for chunk in adopted {
+            correct(access, chunk);
+        }
+    }
+    // thief phase: sweep the other ranks, most-loaded first; each
+    // victim's queue only shrinks, so one sweep that drains every victim
+    // to "nothing left" is complete.
+    let me = access.me;
+    let mut victims: Vec<usize> = (0..loads.len()).filter(|&r| r != me && loads[r] > 0).collect();
+    victims.sort_by_key(|&r| (std::cmp::Reverse(loads[r]), r));
+    for victim in victims {
+        while let Some(chunk) = access.steal_from(victim) {
+            access.stats.chunks_stolen += 1;
+            correct(access, chunk);
+        }
+    }
+    corrected
 }
 
 /// The shared work queue of chunk stealing: the rank's own worker pops
@@ -568,12 +596,12 @@ impl StealState {
 
 /// Serve counters returned by [`comm_thread`].
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ServedCounts {
+struct ServedCounts {
     /// Lookups answered, counted per key (singles plus every key inside
     /// a batch) so base and aggregate modes stay comparable.
-    pub(crate) keys: u64,
+    keys: u64,
     /// Batched requests answered.
-    pub(crate) batches: u64,
+    batches: u64,
 }
 
 /// How long the comm thread waits on an empty mailbox before re-checking
@@ -587,7 +615,7 @@ const SERVER_POLL: Duration = Duration::from_millis(1);
 /// so serving assumes the wire keys are spectrum keys. The server is
 /// stateless and idempotent: a duplicated or retried request is simply
 /// answered again, echoing its sequence number.
-pub(crate) fn comm_thread(
+fn comm_thread(
     comm: &Comm,
     hash_kmers: &KmerSpectrum,
     hash_tiles: &TileSpectrum,
@@ -682,26 +710,18 @@ fn attempt_deadline(base: Option<Duration>, attempt: u32) -> Option<Duration> {
     base.map(|d| d.saturating_mul(1u32 << attempt.min(16)))
 }
 
-/// The worker-side lookup chain of §III step IV:
-/// replicated table → owned table → reads table → remote request.
+/// The worker-side lookup chain of §III step IV. [`route`] picks the
+/// table that answers each key: a replica, the owned or group table, the
+/// hot-shard replica, or the owner rank, which is reached through the
+/// reads table, the prefetch cache or a remote request.
 pub(crate) struct DistAccess<'a> {
     comm: &'a Comm,
     me: usize,
-    owners: &'a OwnerMap,
-    hash_kmers: &'a KmerSpectrum,
-    hash_tiles: &'a TileSpectrum,
+    /// The rank's resident tables. Their reads tables are moved out into
+    /// `reads_kmers`/`reads_tiles`, because `cache_remote` grows those.
+    tables: &'a RankTables,
     reads_kmers: Option<KmerSpectrum>,
     reads_tiles: Option<TileSpectrum>,
-    replicated_kmers: &'a Option<KmerSpectrum>,
-    replicated_tiles: &'a Option<TileSpectrum>,
-    group_kmers: &'a Option<KmerSpectrum>,
-    group_tiles: &'a Option<TileSpectrum>,
-    hot_kmers: &'a Option<KmerSpectrum>,
-    hot_tiles: &'a Option<TileSpectrum>,
-    /// Hot-owner flags (length `np`, or empty when adaptive replication
-    /// is off / found no skew); a hot owner's keys resolve from the
-    /// local replica instead of the wire.
-    hot_owners: &'a [bool],
     heur: HeuristicConfig,
     /// Base per-request deadline; `None` = block indefinitely (the
     /// fault-free fast path).
@@ -717,7 +737,8 @@ pub(crate) struct DistAccess<'a> {
     batch_stash: FxHashMap<u64, BatchResponse>,
     /// Per-chunk prefetch cache (aggregate mode), filled from batch
     /// responses with counts normalized like the single-key path
-    /// (nonexistent key → 0).
+    /// (nonexistent key → 0). Reused across chunks, so a long-lived
+    /// access (the serve plane) allocates ~nothing per chunk.
     prefetch_kmers: FxHashMap<u64, u32>,
     prefetch_tiles: FxHashMap<u128, u32>,
     /// Reused encode buffer — no fresh `Vec` per request.
@@ -726,49 +747,36 @@ pub(crate) struct DistAccess<'a> {
     pub(crate) comm_secs: f64,
 }
 
-impl<'a> DistAccess<'a> {
-    /// Build the lookup chain over a rank's intact [`RankTables`] — the
-    /// serve plane's constructor. The reads tables stay `None` (a
-    /// long-lived service has no fixed read set to scan), so the caller
-    /// must have rejected `keep_read_tables`/`cache_remote` up front.
-    /// The prefetch maps, wire scratch and batch stash allocated here
-    /// live as long as the access: reusing one `DistAccess` across many
-    /// serve micro-batches is what makes repeat jobs allocate ~zero.
-    pub(crate) fn for_tables(
-        comm: &'a Comm,
-        tables: &'a RankTables,
-        cfg: &EngineConfig,
-    ) -> DistAccess<'a> {
-        DistAccess {
-            comm,
-            me: comm.rank(),
-            owners: &tables.owners,
-            hash_kmers: &tables.hash_kmers,
-            hash_tiles: &tables.hash_tiles,
-            reads_kmers: None,
-            reads_tiles: None,
-            replicated_kmers: &tables.replicated_kmers,
-            replicated_tiles: &tables.replicated_tiles,
-            group_kmers: &tables.group_kmers,
-            group_tiles: &tables.group_tiles,
-            hot_kmers: &tables.hot_kmers,
-            hot_tiles: &tables.hot_tiles,
-            hot_owners: &tables.hot_owners,
-            heur: cfg.heuristics,
-            lookup_deadline: cfg.lookup_deadline,
-            retry_budget: cfg.retry_budget,
-            next_seq: 1,
-            batch_stash: FxHashMap::default(),
-            prefetch_kmers: FxHashMap::default(),
-            prefetch_tiles: FxHashMap::default(),
-            scratch: WireWriter::with_capacity(64),
-            stats: LookupStats::default(),
-            comm_secs: 0.0,
-        }
-    }
-}
+/// Every table a [`Route`] can select exists: `derive_heuristic_tables`
+/// builds the replica and group tables its heuristics ask for, and
+/// `replicate_hot_shards` builds the hot replicas with the hot-owner
+/// flags.
+const ROUTED_TABLE: &str = "the routed table was built with the rank's tables";
 
 impl DistAccess<'_> {
+    /// Correct `chunk` in place: in aggregate mode one batched prefetch
+    /// round first, then every read through the lookup chain. After each
+    /// read, `read_done` learns whether any lookup it depended on
+    /// (including the chunk's prefetch round) degraded.
+    pub(crate) fn correct_chunk(
+        &mut self,
+        chunk: &mut [Read],
+        params: &ReptileParams,
+        correction: &mut CorrectionStats,
+        mut read_done: impl FnMut(bool),
+    ) {
+        let before_prefetch = self.stats.keys_degraded;
+        if self.heur.aggregate_lookups {
+            self.prefetch(chunk, params);
+        }
+        let chunk_degraded = self.stats.keys_degraded > before_prefetch;
+        for read in chunk.iter_mut() {
+            let before = self.stats.keys_degraded;
+            correction.absorb(&correct_read(read, self, params));
+            read_done(chunk_degraded || self.stats.keys_degraded > before);
+        }
+    }
+
     /// One remote lookup under the retry protocol: send, await the
     /// response matching our sequence number, resend with exponential
     /// backoff on every missed deadline, and degrade to "absent
@@ -845,58 +853,6 @@ impl DistAccess<'_> {
         }
     }
 
-    /// Owner of a k-mer key that would need a remote message right now —
-    /// `None` when the lookup chain resolves it locally. Mirrors
-    /// [`SpectrumAccess::kmer_count`]'s chain.
-    fn remote_kmer_owner(&self, key: Normalized<u64>) -> Option<usize> {
-        if self.replicated_kmers.is_some() {
-            return None;
-        }
-        let owner = self.owners.kmer_owner_at(key);
-        if self.group_kmers.is_some() {
-            let g = self.heur.partial_group;
-            if owner / g == self.me / g {
-                return None;
-            }
-        } else if owner == self.me {
-            return None;
-        }
-        if self.hot_owners.get(owner) == Some(&true) {
-            return None;
-        }
-        if let Some(rk) = &self.reads_kmers {
-            if rk.get_at(key).is_some() {
-                return None;
-            }
-        }
-        Some(owner)
-    }
-
-    /// Tile twin of [`Self::remote_kmer_owner`].
-    fn remote_tile_owner(&self, key: Normalized<u128>) -> Option<usize> {
-        if self.replicated_tiles.is_some() {
-            return None;
-        }
-        let owner = self.owners.tile_owner_at(key);
-        if self.group_tiles.is_some() {
-            let g = self.heur.partial_group;
-            if owner / g == self.me / g {
-                return None;
-            }
-        } else if owner == self.me {
-            return None;
-        }
-        if self.hot_owners.get(owner) == Some(&true) {
-            return None;
-        }
-        if let Some(rt) = &self.reads_tiles {
-            if rt.get_at(key).is_some() {
-                return None;
-            }
-        }
-        Some(owner)
-    }
-
     /// Aggregate-lookups prefetch: enumerate every key `reads` can
     /// request, keep the remote-destined ones, and fetch their counts
     /// with one vectorized round trip per owning rank (split at
@@ -905,7 +861,7 @@ impl DistAccess<'_> {
     /// this cannot deadlock. Responses are matched by sequence number
     /// (reordered deliveries park in [`DistAccess::batch_stash`]), so
     /// arrival order does not matter.
-    pub(crate) fn prefetch(&mut self, reads: &[Read], params: &ReptileParams) {
+    fn prefetch(&mut self, reads: &[Read], params: &ReptileParams) {
         self.prefetch_kmers.clear();
         self.prefetch_tiles.clear();
         let keys = reptile::prefetch_keys(reads, params);
@@ -916,15 +872,32 @@ impl DistAccess<'_> {
         self.prefetch_kmers.reserve(keys.kmers.len());
         self.prefetch_tiles.reserve(keys.tiles.len());
         let t = Instant::now();
-        let mut per_owner: Vec<BatchRequest> = vec![BatchRequest::default(); self.owners.np()];
+        let tables = self.tables;
+        let mut per_owner: Vec<BatchRequest> = vec![BatchRequest::default(); tables.owners.np()];
         for &k in &keys.kmers {
-            if let Some(owner) = self.remote_kmer_owner(Normalized::assume(k)) {
-                per_owner[owner].kmers.push(k);
+            let key = Normalized::assume(k);
+            let owner = || tables.owners.kmer_owner_at(key);
+            let Route::Owner(r) =
+                route(&self.heur, &tables.hot_owners, self.me, KeyKind::Kmer, owner)
+            else {
+                continue;
+            };
+            // a reads-table hit never reaches the wire
+            if self.reads_kmers.as_ref().is_none_or(|rk| rk.get_at(key).is_none()) {
+                per_owner[r].kmers.push(k);
             }
         }
         for &tl in &keys.tiles {
-            if let Some(owner) = self.remote_tile_owner(Normalized::assume(tl)) {
-                per_owner[owner].tiles.push(tl);
+            let key = Normalized::assume(tl);
+            let owner = || tables.owners.tile_owner_at(key);
+            let Route::Owner(r) =
+                route(&self.heur, &tables.hot_owners, self.me, KeyKind::Tile, owner)
+            else {
+                continue;
+            };
+            // a reads-table hit never reaches the wire
+            if self.reads_tiles.as_ref().is_none_or(|rt| rt.get_at(key).is_none()) {
+                per_owner[r].tiles.push(tl);
             }
         }
         let mut sent: Vec<(usize, BatchRequest, u64)> = Vec::new();
@@ -1091,100 +1064,77 @@ impl DistAccess<'_> {
 
 impl SpectrumAccess for DistAccess<'_> {
     fn kmer_count(&mut self, code: u64) -> u32 {
-        let key = self.owners.kmer_key(code);
-        if let Some(rep) = self.replicated_kmers {
-            self.stats.local_kmer_lookups += 1;
-            return rep.count_at(key);
-        }
-        let owner = self.owners.kmer_owner_at(key);
-        if let Some(group) = self.group_kmers {
-            // §V partial replication: in-group owners are local
-            let g = self.heur.partial_group;
-            if owner / g == self.me / g {
-                self.stats.local_kmer_lookups += 1;
-                return group.count_at(key);
-            }
-        } else if owner == self.me {
-            self.stats.local_kmer_lookups += 1;
-            return self.hash_kmers.count_at(key);
-        }
-        if self.hot_owners.get(owner) == Some(&true) {
-            if let Some(hk) = self.hot_kmers {
-                // exact copy of the hot owner's pruned table: the same
-                // count a remote request would return
-                self.stats.local_kmer_lookups += 1;
+        let t = self.tables;
+        let key = t.owners.kmer_key(code);
+        let owner = || t.owners.kmer_owner_at(key);
+        let table = match route(&self.heur, &t.hot_owners, self.me, KeyKind::Kmer, owner) {
+            Route::Replica => t.replicated_kmers.as_ref(),
+            Route::Local => Some(t.group_kmers.as_ref().unwrap_or(&t.hash_kmers)),
+            Route::Hot => {
                 self.stats.hot_shard_hits += 1;
-                return hk.count_at(key);
+                t.hot_kmers.as_ref()
             }
-        }
-        if let Some(rk) = &self.reads_kmers {
-            if let Some(c) = rk.get_at(key) {
-                self.stats.local_kmer_lookups += 1;
-                self.stats.cache_hits += 1;
-                return c;
+            Route::Owner(owner) => {
+                if let Some(c) = self.reads_kmers.as_ref().and_then(|rk| rk.get_at(key)) {
+                    self.stats.local_kmer_lookups += 1;
+                    self.stats.cache_hits += 1;
+                    return c;
+                }
+                if let Some(&c) = self.prefetch_kmers.get(&key.key()) {
+                    self.stats.local_kmer_lookups += 1;
+                    self.stats.prefetch_hits += 1;
+                    return c;
+                }
+                self.stats.remote_kmer_lookups += 1;
+                let count = self.remote_lookup(LookupRequest::Kmer(key.key()), owner);
+                if self.heur.cache_remote {
+                    if let Some(rk) = &mut self.reads_kmers {
+                        rk.add_count(key, count);
+                        self.stats.cached_answers += 1;
+                    }
+                }
+                return count;
             }
-        }
-        if let Some(&c) = self.prefetch_kmers.get(&key.key()) {
-            self.stats.local_kmer_lookups += 1;
-            self.stats.prefetch_hits += 1;
-            return c;
-        }
-        self.stats.remote_kmer_lookups += 1;
-        let count = self.remote_lookup(LookupRequest::Kmer(key.key()), owner);
-        if self.heur.cache_remote {
-            if let Some(rk) = &mut self.reads_kmers {
-                rk.add_count(key, count);
-                self.stats.cached_answers += 1;
-            }
-        }
-        count
+        };
+        self.stats.local_kmer_lookups += 1;
+        table.expect(ROUTED_TABLE).count_at(key)
     }
 
     fn tile_count(&mut self, code: u128) -> u32 {
-        let key = self.owners.tile_key(code);
-        if let Some(rep) = self.replicated_tiles {
-            self.stats.local_tile_lookups += 1;
-            return rep.count_at(key);
-        }
-        let owner = self.owners.tile_owner_at(key);
-        if let Some(group) = self.group_tiles {
-            let g = self.heur.partial_group;
-            if owner / g == self.me / g {
-                self.stats.local_tile_lookups += 1;
-                return group.count_at(key);
-            }
-        } else if owner == self.me {
-            self.stats.local_tile_lookups += 1;
-            return self.hash_tiles.count_at(key);
-        }
-        if self.hot_owners.get(owner) == Some(&true) {
-            if let Some(ht) = self.hot_tiles {
-                self.stats.local_tile_lookups += 1;
+        let t = self.tables;
+        let key = t.owners.tile_key(code);
+        let owner = || t.owners.tile_owner_at(key);
+        let table = match route(&self.heur, &t.hot_owners, self.me, KeyKind::Tile, owner) {
+            Route::Replica => t.replicated_tiles.as_ref(),
+            Route::Local => Some(t.group_tiles.as_ref().unwrap_or(&t.hash_tiles)),
+            Route::Hot => {
                 self.stats.hot_shard_hits += 1;
-                return ht.count_at(key);
+                t.hot_tiles.as_ref()
             }
-        }
-        if let Some(rt) = &self.reads_tiles {
-            if let Some(c) = rt.get_at(key) {
-                self.stats.local_tile_lookups += 1;
-                self.stats.cache_hits += 1;
-                return c;
+            Route::Owner(owner) => {
+                if let Some(c) = self.reads_tiles.as_ref().and_then(|rt| rt.get_at(key)) {
+                    self.stats.local_tile_lookups += 1;
+                    self.stats.cache_hits += 1;
+                    return c;
+                }
+                if let Some(&c) = self.prefetch_tiles.get(&key.key()) {
+                    self.stats.local_tile_lookups += 1;
+                    self.stats.prefetch_hits += 1;
+                    return c;
+                }
+                self.stats.remote_tile_lookups += 1;
+                let count = self.remote_lookup(LookupRequest::Tile(key.key()), owner);
+                if self.heur.cache_remote {
+                    if let Some(rt) = &mut self.reads_tiles {
+                        rt.add_count(key, count);
+                        self.stats.cached_answers += 1;
+                    }
+                }
+                return count;
             }
-        }
-        if let Some(&c) = self.prefetch_tiles.get(&key.key()) {
-            self.stats.local_tile_lookups += 1;
-            self.stats.prefetch_hits += 1;
-            return c;
-        }
-        self.stats.remote_tile_lookups += 1;
-        let count = self.remote_lookup(LookupRequest::Tile(key.key()), owner);
-        if self.heur.cache_remote {
-            if let Some(rt) = &mut self.reads_tiles {
-                rt.add_count(key, count);
-                self.stats.cached_answers += 1;
-            }
-        }
-        count
+        };
+        self.stats.local_tile_lookups += 1;
+        table.expect(ROUTED_TABLE).count_at(key)
     }
 }
 

@@ -6,7 +6,12 @@
 //! *identical logical algorithm* — same owner partitioning, same lookup
 //! chain, same corrections — for arbitrary `np`, deterministically, and
 //! charges every counted event to a per-rank clock through
-//! [`mpisim::CostModel`].
+//! [`mpisim::CostModel`]. The lookup chain is identical by construction:
+//! both engines route every key through the one routing function
+//! (`route::route`: replica, own or group table, hot-shard replica, or
+//! owner), and only the answer to a route differs — here a read of the
+//! global spectrum plus a modeled charge, there a table read or a wire
+//! round trip.
 //!
 //! The key observation making this sound: during the correction phase the
 //! spectra are immutable, so a remote lookup is semantically a pure query
@@ -40,6 +45,7 @@ use crate::heuristics::HeuristicConfig;
 use crate::owner::OwnerMap;
 use crate::protocol::{MAX_BATCH_KEYS, RESPONSE_BYTES};
 use crate::report::{LookupStats, RankReport, RunReport};
+use crate::route::{route, KeyKind, Route};
 use crate::snapshot;
 use crate::spectrum::BuildStats;
 use dnaseq::{FxHashSet, Read};
@@ -260,18 +266,8 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
             retry_budget: cfg.retry_budget,
             edge_req_seq: vec![0u64; np],
             retry_wait_ns: 0.0,
-            own_kmer_keys: if cfg.heuristics.keep_read_tables {
-                Some(&nonowned_kmers)
-            } else {
-                None
-            },
-            own_tile_keys: if cfg.heuristics.keep_read_tables {
-                Some(&nonowned_tiles)
-            } else {
-                None
-            },
-            cached_kmers: FxHashSet::default(),
-            cached_tiles: FxHashSet::default(),
+            reads_kmers: cfg.heuristics.keep_read_tables.then_some(nonowned_kmers),
+            reads_tiles: cfg.heuristics.keep_read_tables.then_some(nonowned_tiles),
             degraded_kmers: FxHashSet::default(),
             degraded_tiles: FxHashSet::default(),
             prefetch_kmers: FxHashSet::default(),
@@ -283,24 +279,19 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
         };
         let mut correction = CorrectionStats::default();
         let mut corrected = mine;
-        if cfg.heuristics.aggregate_lookups {
-            for chunk in corrected.chunks_mut(cfg.chunk_size.max(1)) {
+        for chunk in corrected.chunks_mut(cfg.chunk_size.max(1)) {
+            if cfg.heuristics.aggregate_lookups {
                 access.prefetch(chunk, &cfg.params, np, rpn, probe_extra);
-                for read in chunk.iter_mut() {
-                    let outcome = correct_read(read, &mut access, &cfg.params);
-                    correction.absorb(&outcome);
-                }
             }
-        } else {
-            for read in corrected.iter_mut() {
-                let outcome = correct_read(read, &mut access, &cfg.params);
-                correction.absorb(&outcome);
+            for read in chunk.iter_mut() {
+                correction.absorb(&correct_read(read, &mut access, &cfg.params));
             }
         }
         let lookups = access.stats;
         let retry_wait_ns = access.retry_wait_ns;
-        let cached_kmer_entries = access.cached_kmers.len() as u64;
-        let cached_tile_entries = access.cached_tiles.len() as u64;
+        // the rank's own non-owned keys plus every cached remote answer
+        let reads_kmer_entries = access.reads_kmers.as_ref().map_or(0, |s| s.len() as u64);
+        let reads_tile_entries = access.reads_tiles.as_ref().map_or(0, |s| s.len() as u64);
 
         // --- time model ---
         let construct_ns = if let Some((per_rank_bytes, resharded, per_rank_repair)) = &load_info {
@@ -394,10 +385,8 @@ pub fn try_run_virtual(cfg: &EngineConfig, reads: &[Read]) -> Result<RunOutput, 
             spectrum_bytes += kmer_bytes(group_kmer_entries) + tile_bytes(group_tile_entries);
         }
         if cfg.heuristics.keep_read_tables {
-            // cache_remote grows the reads tables in place (validate()
-            // guarantees keep_read_tables here)
-            spectrum_bytes += kmer_bytes(nonowned_kmers.len() as u64 + cached_kmer_entries)
-                + tile_bytes(nonowned_tiles.len() as u64 + cached_tile_entries);
+            // cache_remote grows the reads tables in place
+            spectrum_bytes += kmer_bytes(reads_kmer_entries) + tile_bytes(reads_tile_entries);
         }
         if cfg.heuristics.replicate_kmers {
             spectrum_bytes += kmer_bytes(spectra.kmers.len() as u64);
@@ -628,9 +617,10 @@ fn distribute_service_counts(ranks: &mut [RankReport], fault: &FaultPlan) {
     }
 }
 
-/// Lookup chain of the virtual engine — mirrors `engine_mt::DistAccess`
-/// but answers remote lookups from the global spectrum while counting
-/// them as messages and replaying the fault plan's per-edge decisions.
+/// Lookup chain of the virtual engine — routed like `engine_mt::DistAccess`
+/// by [`route`], but answers every route from the global spectrum while
+/// counting owner-routed misses as messages and replaying the fault
+/// plan's per-edge decisions.
 struct VirtualAccess<'a> {
     spectra: &'a LocalSpectra,
     owners: &'a OwnerMap,
@@ -651,11 +641,11 @@ struct VirtualAccess<'a> {
     /// Modeled nanoseconds spent waiting out missed deadlines.
     retry_wait_ns: f64,
     /// keep_read_tables: the non-owned keys this rank saw in its reads
-    /// (global counts are resolved, so hits are local).
-    own_kmer_keys: Option<&'a FxHashSet<u64>>,
-    own_tile_keys: Option<&'a FxHashSet<u128>>,
-    cached_kmers: FxHashSet<u64>,
-    cached_tiles: FxHashSet<u128>,
+    /// (global counts are resolved, so hits are local), grown by every
+    /// cached remote answer under cache_remote — the key sets of the
+    /// threaded engine's reads tables.
+    reads_kmers: Option<FxHashSet<u64>>,
+    reads_tiles: Option<FxHashSet<u128>>,
     /// cache_remote under faults: keys whose remote lookup degraded; the
     /// cached answer is the degraded 0, exactly like the threaded engine
     /// caching the absent answer in its reads table.
@@ -712,31 +702,6 @@ impl VirtualAccess<'_> {
         answered
     }
 
-    /// Whether the lookup chain would resolve this k-mer key without a
-    /// message right now (mirrors `kmer_count` up to the remote branch).
-    fn kmer_is_local(&self, key: Normalized<u64>) -> bool {
-        let owner = self.owners.kmer_owner_at(key);
-        let g = self.heur.partial_group;
-        let in_group = if g > 1 { owner / g == self.me / g } else { owner == self.me };
-        self.heur.replicate_kmers
-            || in_group
-            || self.hot_owners.get(owner) == Some(&true)
-            || self.own_kmer_keys.is_some_and(|keys| keys.contains(&key.key()))
-            || (self.heur.cache_remote && self.cached_kmers.contains(&key.key()))
-    }
-
-    /// Tile twin of [`Self::kmer_is_local`].
-    fn tile_is_local(&self, key: Normalized<u128>) -> bool {
-        let owner = self.owners.tile_owner_at(key);
-        let g = self.heur.partial_group;
-        let in_group = if g > 1 { owner / g == self.me / g } else { owner == self.me };
-        self.heur.replicate_tiles
-            || in_group
-            || self.hot_owners.get(owner) == Some(&true)
-            || self.own_tile_keys.is_some_and(|keys| keys.contains(&key.key()))
-            || (self.heur.cache_remote && self.cached_tiles.contains(&key.key()))
-    }
-
     /// Modeled counterpart of `engine_mt`'s batched prefetch: enumerate
     /// the chunk's keys, keep the remote-destined ones, fill the prefetch
     /// sets, and charge one vectorized round trip per owner (split at
@@ -758,16 +723,26 @@ impl VirtualAccess<'_> {
         let mut per_owner_k: Vec<Vec<u64>> = vec![Vec::new(); np];
         let mut per_owner_t: Vec<Vec<u128>> = vec![Vec::new(); np];
         for &k in &keys.kmers {
-            let key = Normalized::assume(k);
-            if !self.kmer_is_local(key) {
-                per_owner_k[self.owners.kmer_owner_at(key)].push(k);
+            let owner = || self.owners.kmer_owner_at(Normalized::assume(k));
+            let Route::Owner(r) = route(&self.heur, self.hot_owners, self.me, KeyKind::Kmer, owner)
+            else {
+                continue;
+            };
+            // a reads-table hit never reaches the wire
+            if self.reads_kmers.as_ref().is_none_or(|keys| !keys.contains(&k)) {
+                per_owner_k[r].push(k);
                 self.prefetch_kmers.insert(k);
             }
         }
         for &tl in &keys.tiles {
-            let key = Normalized::assume(tl);
-            if !self.tile_is_local(key) {
-                per_owner_t[self.owners.tile_owner_at(key)].push(tl);
+            let owner = || self.owners.tile_owner_at(Normalized::assume(tl));
+            let Route::Owner(r) = route(&self.heur, self.hot_owners, self.me, KeyKind::Tile, owner)
+            else {
+                continue;
+            };
+            // a reads-table hit never reaches the wire
+            if self.reads_tiles.as_ref().is_none_or(|keys| !keys.contains(&tl)) {
+                per_owner_t[r].push(tl);
                 self.prefetch_tiles.insert(tl);
             }
         }
@@ -804,53 +779,47 @@ impl SpectrumAccess for VirtualAccess<'_> {
     fn kmer_count(&mut self, code: u64) -> u32 {
         let key = self.owners.kmer_key(code);
         let count = self.spectra.kmers.count_at(key);
-        let owner = self.owners.kmer_owner_at(key);
-        let g = self.heur.partial_group;
-        let in_group = if g > 1 { owner / g == self.me / g } else { owner == self.me };
-        if self.heur.replicate_kmers || in_group {
-            self.stats.local_kmer_lookups += 1;
-            return count;
-        }
-        if self.hot_owners.get(owner) == Some(&true) {
-            // hot-shard replica: the same count a remote request returns
-            self.stats.local_kmer_lookups += 1;
-            self.stats.hot_shard_hits += 1;
-            return count;
-        }
-        if let Some(keys) = self.own_kmer_keys {
-            if keys.contains(&key.key()) {
+        let owner = || self.owners.kmer_owner_at(key);
+        let owner = match route(&self.heur, self.hot_owners, self.me, KeyKind::Kmer, owner) {
+            Route::Owner(owner) => owner,
+            local => {
+                // every local table returns what the owner would
                 self.stats.local_kmer_lookups += 1;
-                self.stats.cache_hits += 1;
+                if local == Route::Hot {
+                    self.stats.hot_shard_hits += 1;
+                }
                 return count;
             }
-        }
-        if self.heur.cache_remote && self.cached_kmers.contains(&key.key()) {
+        };
+        let k = key.key();
+        if self.reads_kmers.as_ref().is_some_and(|keys| keys.contains(&k)) {
             self.stats.local_kmer_lookups += 1;
             self.stats.cache_hits += 1;
-            return if self.degraded_kmers.contains(&key.key()) { 0 } else { count };
+            return if self.degraded_kmers.contains(&k) { 0 } else { count };
         }
-        if self.prefetch_kmers.contains(&key.key()) {
+        if self.prefetch_kmers.contains(&k) {
             self.stats.local_kmer_lookups += 1;
             self.stats.prefetch_hits += 1;
-            return if self.degraded_prefetch_kmers.contains(&key.key()) { 0 } else { count };
+            return if self.degraded_prefetch_kmers.contains(&k) { 0 } else { count };
         }
         self.stats.remote_kmer_lookups += 1;
         self.stats.remote_messages += 1;
-        if !self.simulate_request(owner) {
-            self.stats.keys_degraded += 1;
-            if self.heur.cache_remote {
-                self.cached_kmers.insert(key.key());
-                self.degraded_kmers.insert(key.key());
+        let answered = self.simulate_request(owner);
+        if self.heur.cache_remote {
+            if let Some(keys) = &mut self.reads_kmers {
+                keys.insert(k);
+                if !answered {
+                    self.degraded_kmers.insert(k);
+                }
                 self.stats.cached_answers += 1;
             }
+        }
+        if !answered {
+            self.stats.keys_degraded += 1;
             return 0;
         }
         if count == 0 {
             self.stats.remote_kmer_misses += 1;
-        }
-        if self.heur.cache_remote {
-            self.cached_kmers.insert(key.key());
-            self.stats.cached_answers += 1;
         }
         count
     }
@@ -858,52 +827,46 @@ impl SpectrumAccess for VirtualAccess<'_> {
     fn tile_count(&mut self, code: u128) -> u32 {
         let key = self.owners.tile_key(code);
         let count = self.spectra.tiles.count_at(key);
-        let owner = self.owners.tile_owner_at(key);
-        let g = self.heur.partial_group;
-        let in_group = if g > 1 { owner / g == self.me / g } else { owner == self.me };
-        if self.heur.replicate_tiles || in_group {
-            self.stats.local_tile_lookups += 1;
-            return count;
-        }
-        if self.hot_owners.get(owner) == Some(&true) {
-            self.stats.local_tile_lookups += 1;
-            self.stats.hot_shard_hits += 1;
-            return count;
-        }
-        if let Some(keys) = self.own_tile_keys {
-            if keys.contains(&key.key()) {
+        let owner = || self.owners.tile_owner_at(key);
+        let owner = match route(&self.heur, self.hot_owners, self.me, KeyKind::Tile, owner) {
+            Route::Owner(owner) => owner,
+            local => {
                 self.stats.local_tile_lookups += 1;
-                self.stats.cache_hits += 1;
+                if local == Route::Hot {
+                    self.stats.hot_shard_hits += 1;
+                }
                 return count;
             }
-        }
-        if self.heur.cache_remote && self.cached_tiles.contains(&key.key()) {
+        };
+        let tl = key.key();
+        if self.reads_tiles.as_ref().is_some_and(|keys| keys.contains(&tl)) {
             self.stats.local_tile_lookups += 1;
             self.stats.cache_hits += 1;
-            return if self.degraded_tiles.contains(&key.key()) { 0 } else { count };
+            return if self.degraded_tiles.contains(&tl) { 0 } else { count };
         }
-        if self.prefetch_tiles.contains(&key.key()) {
+        if self.prefetch_tiles.contains(&tl) {
             self.stats.local_tile_lookups += 1;
             self.stats.prefetch_hits += 1;
-            return if self.degraded_prefetch_tiles.contains(&key.key()) { 0 } else { count };
+            return if self.degraded_prefetch_tiles.contains(&tl) { 0 } else { count };
         }
         self.stats.remote_tile_lookups += 1;
         self.stats.remote_messages += 1;
-        if !self.simulate_request(owner) {
-            self.stats.keys_degraded += 1;
-            if self.heur.cache_remote {
-                self.cached_tiles.insert(key.key());
-                self.degraded_tiles.insert(key.key());
+        let answered = self.simulate_request(owner);
+        if self.heur.cache_remote {
+            if let Some(keys) = &mut self.reads_tiles {
+                keys.insert(tl);
+                if !answered {
+                    self.degraded_tiles.insert(tl);
+                }
                 self.stats.cached_answers += 1;
             }
+        }
+        if !answered {
+            self.stats.keys_degraded += 1;
             return 0;
         }
         if count == 0 {
             self.stats.remote_tile_misses += 1;
-        }
-        if self.heur.cache_remote {
-            self.cached_tiles.insert(key.key());
-            self.stats.cached_answers += 1;
         }
         count
     }

@@ -58,6 +58,7 @@ pub mod owner;
 pub mod prior_art;
 pub mod protocol;
 pub mod report;
+mod route;
 pub mod serve;
 pub mod snapshot;
 pub mod spectrum;

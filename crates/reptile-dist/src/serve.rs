@@ -42,16 +42,13 @@
 //! delays them.
 
 use crate::engine::{ConfigError, EngineConfig, EngineError};
-use crate::engine_mt::{comm_thread, root_cause, DistAccess, ServedCounts};
-use crate::owner::OwnerMap;
+use crate::engine_mt::{root_cause, step_iv, tables_phase};
 use crate::report::LookupStats;
-use crate::snapshot;
-use crate::spectrum::{build_distributed, derive_heuristic_tables, BuildStats, RankTables};
 use dnaseq::Read;
 use mpisim::{Comm, Universe};
-use reptile::{correct_read, CorrectionStats};
+use reptile::CorrectionStats;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -427,9 +424,9 @@ const EWMA_NEW_PCT: u64 = 20;
 
 /// The per-rank serve loop: load/build once, then pull micro-batches
 /// off the shared admission queue until the engine closes. Collective
-/// structure: snapshot load (or build) + one barrier at startup, one
-/// barrier at shutdown — nothing per request, so no rank can block
-/// another through the queue.
+/// structure: the tables phase (snapshot load or build, ending in a
+/// barrier) at startup and one barrier at shutdown — nothing per
+/// request, so no rank can block another through the queue.
 fn serve_rank(
     comm: &Comm,
     cfg: &EngineConfig,
@@ -438,40 +435,11 @@ fn serve_rank(
 ) -> Result<RankDone, EngineError> {
     let me = comm.rank();
     let np = comm.size();
-    // --- build-once: snapshot load or distributed build ---
-    let (tables, snapshot_bytes_read, repair): (RankTables, u64, specstore::RepairStats) =
-        if let Some(dir) = &cfg.load_spectrum {
-            let chop = cfg.fault.snapshot_chop_for(me);
-            let loaded = snapshot::load_snapshot(comm, dir, &cfg.params, cfg.recovery, chop)?;
-            let owners = OwnerMap::new(np, &cfg.params);
-            let (tables, _) = derive_heuristic_tables(
-                comm,
-                owners,
-                &cfg.params,
-                &cfg.heuristics,
-                loaded.kmers,
-                loaded.tiles,
-                Vec::new(),
-                Vec::new(),
-                BuildStats::default(),
-            );
-            (tables, loaded.bytes_read, loaded.repair)
-        } else {
-            // Step-I analog for the seed corpus: contiguous slices.
-            let lo = seed_reads.len() * me / np;
-            let hi = seed_reads.len() * (me + 1) / np;
-            let mine = seed_reads[lo..hi].to_vec();
-            let (tables, _) = build_distributed(
-                comm,
-                &mine,
-                cfg.chunk_size,
-                &cfg.params,
-                &cfg.heuristics,
-                cfg.build_threads.max(1),
-            );
-            (tables, 0, Default::default())
-        };
-    comm.barrier();
+    // --- build-once: snapshot load, or a build over this rank's
+    // contiguous slice of the seed corpus (the Step-I analog) ---
+    let lo = seed_reads.len() * me / np;
+    let hi = seed_reads.len() * (me + 1) / np;
+    let phase = tables_phase(comm, &seed_reads[lo..hi], cfg, None)?;
     if me == 0 {
         shared.mark(Startup::Ready);
     }
@@ -482,30 +450,13 @@ fn serve_rank(
         correction: CorrectionStats::default(),
         requests: 0,
         batches: 0,
-        snapshot_bytes_read,
-        repair,
+        snapshot_bytes_read: phase.snapshot_bytes_read,
+        repair: phase.repair,
     };
-    let shutdown = AtomicBool::new(false);
-    let service_plane = cfg.heuristics.needs_service_plane(np);
-    let mut served = ServedCounts::default();
-    std::thread::scope(|s| {
-        let server = service_plane.then(|| {
-            s.spawn(|| {
-                comm_thread(
-                    comm,
-                    &tables.hash_kmers,
-                    &tables.hash_tiles,
-                    cfg.heuristics.universal,
-                    None,
-                    &shutdown,
-                )
-            })
-        });
-        // Hoisted per-run scratch (the old per-job serve loop rebuilt
-        // all of this for every batch file): the lookup chain with its
-        // prefetch maps and wire buffers, plus the micro-batch staging
-        // vectors, all reused for the engine's lifetime.
-        let mut access = DistAccess::for_tables(comm, &tables, cfg);
+    let ((), lookups, _) = step_iv(comm, phase.tables, cfg, None, |access| {
+        // Per-run scratch hoisted out of the loop: the lookup chain with
+        // its prefetch maps and wire buffers, plus the micro-batch
+        // staging vectors, all reused for the engine's lifetime.
         let mut meta: Vec<(u64, Instant)> = Vec::with_capacity(shared.max_batch);
         let mut reads: Vec<Read> = Vec::with_capacity(shared.max_batch);
         let mut stamps: Vec<(Duration, bool)> = Vec::with_capacity(shared.max_batch);
@@ -531,20 +482,9 @@ fn serve_rank(
                 }
             }
             let dequeued = Instant::now();
-            let deg0 = access.stats.keys_degraded;
-            if cfg.heuristics.aggregate_lookups {
-                access.prefetch(&reads, &cfg.params);
-            }
-            let batch_degraded = access.stats.keys_degraded > deg0;
-            for read in reads.iter_mut() {
-                let before = access.stats.keys_degraded;
-                let outcome = correct_read(read, &mut access, &cfg.params);
-                done.correction.absorb(&outcome);
-                stamps.push((
-                    dequeued.elapsed(),
-                    batch_degraded || access.stats.keys_degraded > before,
-                ));
-            }
+            access.correct_chunk(&mut reads, &cfg.params, &mut done.correction, |degraded| {
+                stamps.push((dequeued.elapsed(), degraded))
+            });
             let n = reads.len();
             let per_req_ns = (dequeued.elapsed().as_nanos() as u64 / n as u64).max(1);
             let old = shared.ewma_ns.load(Ordering::Relaxed);
@@ -572,18 +512,8 @@ fn serve_rank(
             done.requests += n as u64;
             done.batches += 1;
         }
-        // Same termination as run_rank: after the barrier no rank can
-        // issue another first-hand lookup, so the comm threads drain
-        // stragglers and exit on their first quiet poll.
-        comm.barrier();
-        shutdown.store(true, Ordering::Release);
-        done.lookups = std::mem::take(&mut access.stats);
-        if let Some(server) = server {
-            served = server.join().expect("serve comm thread panicked");
-        }
     });
-    done.lookups.requests_served = served.keys;
-    done.lookups.batches_served = served.batches;
+    done.lookups = lookups;
     Ok(done)
 }
 

@@ -27,7 +27,6 @@ pub mod histogram;
 pub mod kmer_corrector;
 pub mod layouts;
 pub mod params;
-pub mod pipeline;
 pub mod prefetch;
 pub mod radix;
 pub mod spectrum;
@@ -39,6 +38,5 @@ pub use flat::{FlatKmerTable, FlatTileTable, KmerTableParts, TileTableParts, HAS
 pub use histogram::CountHistogram;
 pub use kmer_corrector::{correct_dataset_kmers_only, correct_read_kmers_only};
 pub use params::ReptileParams;
-pub use pipeline::{Pipeline, PipelineResult};
 pub use prefetch::{enumerate_read_keys, prefetch_keys, PrefetchKeys};
 pub use spectrum::{KmerSpectrum, LocalSpectra, Normalized, TileSpectrum};

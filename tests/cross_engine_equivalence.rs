@@ -5,7 +5,7 @@
 use genio::dataset::DatasetProfile;
 use reptile::{correct_dataset, ReptileParams};
 use reptile_dist::engine_virtual::run_virtual;
-use reptile_dist::{run_distributed, EngineConfig, HeuristicConfig};
+use reptile_dist::{run_distributed, EngineConfig, HeuristicConfig, LookupStats};
 
 fn dataset(seed: u64, both_strands: bool) -> genio::dataset::SyntheticDataset {
     DatasetProfile {
@@ -59,6 +59,9 @@ fn virtual_engine_matches_sequential_across_rank_counts() {
     }
 }
 
+/// Both engines route every lookup through the same rule, so beyond the
+/// corrected reads they agree, rank by rank, on where each lookup
+/// resolved and on the requests it cost.
 #[test]
 fn virtual_and_threaded_agree_under_heuristics() {
     let ds = dataset(3, false);
@@ -71,7 +74,26 @@ fn virtual_and_threaded_agree_under_heuristics() {
         HeuristicConfig::paper_production(),
         HeuristicConfig { load_balance: false, ..Default::default() },
         HeuristicConfig { partial_group: 2, ..Default::default() },
+        HeuristicConfig { aggregate_lookups: true, ..Default::default() },
+        HeuristicConfig { aggregate_lookups: true, replicate_tiles: true, ..Default::default() },
+        HeuristicConfig { hot_shard_k: 1, ..Default::default() },
     ];
+    // where each lookup resolved, and what the misses cost on the wire
+    let routing = |l: &LookupStats| {
+        [
+            ("local_kmer_lookups", l.local_kmer_lookups),
+            ("local_tile_lookups", l.local_tile_lookups),
+            ("remote_kmer_lookups", l.remote_kmer_lookups),
+            ("remote_tile_lookups", l.remote_tile_lookups),
+            ("cache_hits", l.cache_hits),
+            ("cached_answers", l.cached_answers),
+            ("prefetch_hits", l.prefetch_hits),
+            ("hot_shard_hits", l.hot_shard_hits),
+            ("batches_sent", l.batches_sent),
+            ("batched_keys", l.batched_keys),
+            ("remote_messages", l.remote_messages),
+        ]
+    };
     for heur in matrix {
         let mut mt_cfg = EngineConfig::new(4, p);
         mt_cfg.heuristics = heur;
@@ -82,6 +104,15 @@ fn virtual_and_threaded_agree_under_heuristics() {
         v_cfg.chunk_size = 300;
         let virt = run_virtual(&v_cfg, &ds.reads);
         assert_eq!(mt.corrected, virt.corrected, "heur={}", heur.label());
+        for (m, v) in mt.report.ranks.iter().zip(&virt.report.ranks) {
+            assert_eq!(
+                routing(&m.lookups),
+                routing(&v.lookups),
+                "heur={} rank {}: the engines routed lookups differently",
+                heur.label(),
+                m.rank
+            );
+        }
     }
 }
 

@@ -161,7 +161,14 @@ fn drive(
 
 /// Reference outputs from batch mode on the same snapshot, by read id.
 fn batch_reference(cfg: &EngineConfig, reads: &[Read]) -> HashMap<u64, Read> {
-    let clean = EngineConfig { fault: FaultPlan::default(), ..cfg.clone() };
+    // No deadline either: under a deadline a slow (not lost) response
+    // still degrades its key, and a reference must never degrade.
+    let clean = EngineConfig {
+        fault: FaultPlan::default(),
+        lookup_deadline: None,
+        retry_budget: 0,
+        ..cfg.clone()
+    };
     try_run_distributed(&clean, reads)
         .expect("clean batch run")
         .corrected

@@ -13,14 +13,36 @@ use reptile_dist::{
 use specstore::{fnv1a, Manifest, ShardKind, SnapshotError, MANIFEST_NAME};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("reptile-snap-{tag}-{}", std::process::id()));
+/// A temp directory unique to one `tempdir` call — process id plus a
+/// per-process counter, so tests running in parallel never share one even
+/// under equal tags — removed with its contents on drop.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = PathBuf;
+    fn deref(&self) -> &PathBuf {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tempdir(tag: &str) -> TempDir {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("reptile-snap-{tag}-{}-{seq}", std::process::id()));
     if dir.exists() {
+        // left behind by an earlier process that had the same pid
         std::fs::remove_dir_all(&dir).unwrap();
     }
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 fn params() -> ReptileParams {
@@ -108,7 +130,6 @@ fn loaded_correction_is_bit_identical_across_engines_and_np() {
                     "{engine} {save_np}->{load_np}: load must account its I/O"
                 );
             }
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 }
@@ -135,7 +156,6 @@ fn snapshots_are_engine_portable() {
     let back = run_engine("virtual", &back_cfg, &reads).unwrap();
     let fresh_v2 = run_engine("virtual", &cfg_for("virtual", 2), &reads).unwrap();
     assert_eq!(back.corrected, fresh_v2.corrected);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Snapshot loads still compose with the heuristic matrix: the derived
@@ -163,7 +183,6 @@ fn loaded_snapshot_composes_with_heuristics() {
         let loaded = run_engine("mt", &cfg, &reads).unwrap();
         assert_eq!(loaded.corrected, fresh.corrected, "heur={}", heur.label());
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Both engines bracket snapshot I/O in `snapshot-save` / `snapshot-load`
@@ -200,7 +219,6 @@ fn snapshot_runs_carry_trace_spans_and_timings() {
         // fresh (non-snapshot) runs stay lean: no trace attached
         let plain = run_engine(engine, &cfg_for(engine, 3), &reads).unwrap();
         assert!(plain.report.ranks.iter().all(|r| r.trace.is_none()), "{engine}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -216,7 +234,7 @@ fn shard_path(dir: &Path, rank: usize, kind: ShardKind) -> PathBuf {
 }
 
 /// Build one pristine np=3 snapshot to corrupt copies of.
-fn pristine_snapshot(reads: &[dnaseq::Read]) -> PathBuf {
+fn pristine_snapshot(reads: &[dnaseq::Read]) -> TempDir {
     let dir = tempdir("pristine");
     let mut cfg = cfg_for("virtual", 3);
     cfg.save_spectrum = Some(dir.clone());
@@ -225,7 +243,7 @@ fn pristine_snapshot(reads: &[dnaseq::Read]) -> PathBuf {
 }
 
 /// Copy a snapshot directory so each corruption starts from clean bytes.
-fn clone_snapshot(src: &Path, tag: &str) -> PathBuf {
+fn clone_snapshot(src: &Path, tag: &str) -> TempDir {
     let dst = tempdir(tag);
     for entry in std::fs::read_dir(src).unwrap() {
         let entry = entry.unwrap();
@@ -265,7 +283,6 @@ fn every_corruption_class_is_typed() {
     let dir = clone_snapshot(&pristine, "magic");
     patch_file(&dir.join(&kmer0), 0, b"XXXXXXXX");
     assert!(matches!(load_failure(&dir, &reads, params()), SnapshotError::BadMagic { .. }));
-    std::fs::remove_dir_all(&dir).unwrap();
 
     // version skew: format version bumped past ours
     let dir = clone_snapshot(&pristine, "version");
@@ -274,7 +291,6 @@ fn every_corruption_class_is_typed() {
         load_failure(&dir, &reads, params()),
         SnapshotError::VersionSkew { found: 99, .. }
     ));
-    std::fs::remove_dir_all(&dir).unwrap();
 
     // checksum: a single flipped trailing byte
     let dir = clone_snapshot(&pristine, "checksum");
@@ -283,32 +299,27 @@ fn every_corruption_class_is_typed() {
     *data.last_mut().unwrap() ^= 0xff;
     std::fs::write(&path, data).unwrap();
     assert!(matches!(load_failure(&dir, &reads, params()), SnapshotError::Checksum { .. }));
-    std::fs::remove_dir_all(&dir).unwrap();
 
     // fingerprint mismatch: loading under different corrector parameters
     let dir = clone_snapshot(&pristine, "fingerprint");
     let other = ReptileParams { k: 12, tile_overlap: 6, ..params() };
     assert!(matches!(load_failure(&dir, &reads, other), SnapshotError::FingerprintMismatch { .. }));
-    std::fs::remove_dir_all(&dir).unwrap();
 
     // missing shard: a manifest-listed file deleted out from under us
     let dir = clone_snapshot(&pristine, "missing");
     std::fs::remove_file(dir.join(&tile2)).unwrap();
     assert!(matches!(load_failure(&dir, &reads, params()), SnapshotError::MissingShard { .. }));
-    std::fs::remove_dir_all(&dir).unwrap();
 
     // manifest that isn't one at all: bad banner
     let dir = clone_snapshot(&pristine, "manifest-banner");
     std::fs::write(dir.join(MANIFEST_NAME), "not a manifest\n").unwrap();
     assert!(matches!(load_failure(&dir, &reads, params()), SnapshotError::BadMagic { .. }));
-    std::fs::remove_dir_all(&dir).unwrap();
 
     // manifest with the right banner but a garbled body
     let dir = clone_snapshot(&pristine, "manifest-body");
     std::fs::write(dir.join(MANIFEST_NAME), "reptile-specstore v1\nnonsense without equals\n")
         .unwrap();
     assert!(matches!(load_failure(&dir, &reads, params()), SnapshotError::Manifest { .. }));
-    std::fs::remove_dir_all(&dir).unwrap();
 
     // truncation via the fault plan's chop clause (virtual replay)
     let dir = clone_snapshot(&pristine, "chop-virtual");
@@ -320,9 +331,6 @@ fn every_corruption_class_is_typed() {
         Err(other) => panic!("chop must surface Truncated, got {other}"),
         Ok(_) => panic!("chop must surface Truncated, run succeeded"),
     }
-    std::fs::remove_dir_all(&dir).unwrap();
-
-    std::fs::remove_dir_all(&pristine).unwrap();
 }
 
 /// The threaded engine's distributed abort: under a chop fault the rank
@@ -345,7 +353,6 @@ fn threaded_chop_aborts_with_the_root_cause() {
         Err(other) => panic!("expected the root-cause Truncated error, got {other}"),
         Ok(_) => panic!("expected the root-cause Truncated error, run succeeded"),
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -394,7 +401,7 @@ fn save_parity_snapshot(
     parity: usize,
     reads: &[dnaseq::Read],
     tag: &str,
-) -> PathBuf {
+) -> TempDir {
     let dir = tempdir(tag);
     let mut cfg = cfg_for(engine, np);
     cfg.save_spectrum = Some(dir.clone());
@@ -484,7 +491,6 @@ fn repair_cell(
         }
         Err(other) => panic!("{label}: expected success or TooManyLost, got {other}"),
     };
-    std::fs::remove_dir_all(&dir).unwrap();
     row
 }
 
@@ -543,7 +549,6 @@ fn rewrite_heals_the_snapshot_in_place() {
     let reloaded = run_engine("virtual", &strict, &reads).unwrap();
     assert_eq!(reloaded.corrected, repaired.corrected);
     assert_eq!(reloaded.report.shards_repaired(), 0, "rewrite must leave nothing to repair");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The PR-4 fault plan composes with repair: a `chop=` clause truncates
@@ -563,7 +568,6 @@ fn chop_fault_plus_repair_policy_recovers_on_both_engines() {
             .unwrap_or_else(|e| panic!("{engine}: chop+repair must recover, got {e}"));
         assert_eq!(out.corrected, fresh.corrected, "{engine}: chop+repair output");
         assert!(out.report.shards_repaired() >= 1, "{engine}: chop must trigger a repair");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -628,7 +632,6 @@ fn v1_snapshot_loads_strict_and_rejects_repair() {
         Err(other) => panic!("expected RepairWithoutParity, got {other}"),
         Ok(_) => panic!("a v1 snapshot has no parity to repair from"),
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A degraded snapshot still serves: `ServeEngine::start` under a
@@ -676,5 +679,4 @@ fn serve_engine_starts_degraded_and_reports_the_repair() {
     let served: Vec<Vec<u8>> = responses.into_iter().map(|r| r.read.seq).collect();
     let want: Vec<Vec<u8>> = fresh.corrected.iter().map(|r| r.seq.clone()).collect();
     assert_eq!(served, want, "degraded serve must correct identically");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
